@@ -9,8 +9,9 @@ namespace dkb {
 /// spread over three surfaces — exec::ParallelTuning (morsel thresholds),
 /// lfp::EvalOptions::parallelism (wavefront width), and the DKB_THREADS
 /// environment variable (pool size) — which made it impossible to reason
-/// about a query's effective parallelism from any single struct. The old
-/// surfaces survive as deprecated delegates; new code reads and writes this.
+/// about a query's effective parallelism from any single struct. The
+/// exec::ParallelTuning alias is gone; the other two survive as delegates,
+/// and new code reads and writes this.
 ///
 /// One policy instance is process-wide (GlobalParallelismPolicy); queries
 /// may carry an override through testbed::QueryOptions::WithPolicy, which

@@ -14,6 +14,13 @@ class WallTimer {
   /// Restarts the stopwatch.
   void Reset() { start_ = Clock::now(); }
 
+  /// Elapsed time since construction or last Reset, in nanoseconds.
+  int64_t ElapsedNanos() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                start_)
+        .count();
+  }
+
   /// Elapsed time since construction or last Reset, in microseconds.
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
@@ -32,12 +39,15 @@ class WallTimer {
 };
 
 /// Accumulates elapsed time into a counter across many scopes; used by the
-/// LFP evaluators to attribute time to temp-table management, RHS
-/// evaluation, and termination checking (paper Table 5).
+/// compiler, the update processor and the LFP evaluators to attribute time
+/// to the paper's phases (Tables 4, 5 and 8). The sum is kept in
+/// nanoseconds, so scopes shorter than a microsecond still add up; the
+/// owning stats struct rounds it into its `_us` field once per operation
+/// (see RoundPhasesOnExit).
 class ScopedAccumulator {
  public:
-  explicit ScopedAccumulator(int64_t* sink_micros) : sink_(sink_micros) {}
-  ~ScopedAccumulator() { *sink_ += timer_.ElapsedMicros(); }
+  explicit ScopedAccumulator(int64_t* sink_nanos) : sink_(sink_nanos) {}
+  ~ScopedAccumulator() { *sink_ += timer_.ElapsedNanos(); }
 
   ScopedAccumulator(const ScopedAccumulator&) = delete;
   ScopedAccumulator& operator=(const ScopedAccumulator&) = delete;
@@ -45,6 +55,24 @@ class ScopedAccumulator {
  private:
   int64_t* sink_;
   WallTimer timer_;
+};
+
+/// Nanoseconds to whole microseconds, rounded to nearest.
+inline int64_t NanosToMicros(int64_t nanos) { return (nanos + 500) / 1000; }
+
+/// Calls `stats->RoundPhases()` when the scope exits, so a phase breakdown
+/// summed in nanoseconds is published in microseconds on every return path.
+template <typename Stats>
+class RoundPhasesOnExit {
+ public:
+  explicit RoundPhasesOnExit(Stats* stats) : stats_(stats) {}
+  ~RoundPhasesOnExit() { stats_->RoundPhases(); }
+
+  RoundPhasesOnExit(const RoundPhasesOnExit&) = delete;
+  RoundPhasesOnExit& operator=(const RoundPhasesOnExit&) = delete;
+
+ private:
+  Stats* stats_;
 };
 
 }  // namespace dkb

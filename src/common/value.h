@@ -2,6 +2,7 @@
 #define DKB_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -25,8 +26,8 @@ const char* DataTypeName(DataType type);
 /// A single column value: NULL, integer, or string.
 ///
 /// Strings come in two representations with identical observable semantics:
-/// an owned std::string, or an interned reference (dense uint32 id) into the
-/// process-wide StringDict. Interned values copy and hash in O(1) — copying
+/// an owned std::string (held by pointer), or an interned reference (dense
+/// uint32 id) into the process-wide StringDict. Interned values copy and hash in O(1) — copying
 /// moves 4 bytes instead of a heap string, equality compares ids when both
 /// sides are interned, and hashing reads the dictionary's precomputed
 /// content hash (which agrees with hashing the same string un-interned, so
@@ -42,8 +43,8 @@ class Value {
   /// Constructs SQL NULL.
   Value() : rep_(std::monostate{}) {}
   explicit Value(int64_t v) : rep_(v) {}
-  explicit Value(std::string v) : rep_(std::move(v)) {}
-  explicit Value(const char* v) : rep_(std::string(v)) {}
+  explicit Value(std::string v) : rep_(OwnedString(std::move(v))) {}
+  explicit Value(const char* v) : rep_(OwnedString(v)) {}
 
   static Value Null() { return Value(); }
 
@@ -58,7 +59,7 @@ class Value {
   bool is_null() const { return std::holds_alternative<std::monostate>(rep_); }
   bool is_int() const { return std::holds_alternative<int64_t>(rep_); }
   bool is_string() const {
-    return std::holds_alternative<std::string>(rep_) || is_interned();
+    return std::holds_alternative<OwnedString>(rep_) || is_interned();
   }
   /// True only for the interned string representation.
   bool is_interned() const { return std::holds_alternative<DictRef>(rep_); }
@@ -78,7 +79,7 @@ class Value {
     if (const auto* ref = std::get_if<DictRef>(&rep_)) {
       return GlobalStringDict().Get(ref->id);
     }
-    return std::get<std::string>(rep_);
+    return std::get<OwnedString>(rep_).get();
   }
   /// Requires is_interned(): the dictionary id.
   uint32_t interned_id() const { return std::get<DictRef>(rep_).id; }
@@ -87,10 +88,21 @@ class Value {
   /// (no-op for NULL, integers, and already-interned values). Storage does
   /// this on every insert so scans hand out cheap values.
   void InternInPlace() {
-    if (const auto* s = std::get_if<std::string>(&rep_)) {
-      uint32_t id = GlobalStringDict().Intern(*s);
+    if (const auto* s = std::get_if<OwnedString>(&rep_)) {
+      uint32_t id = GlobalStringDict().Intern(s->get());
       if (id != StringDict::kInvalidId) rep_ = DictRef{id};
     }
+  }
+
+  /// Copy of this value with an owned VARCHAR interned (other values copy
+  /// unchanged). Cheaper than copying and then InternInPlace: no owned
+  /// string is allocated on the way.
+  Value InternedCopy() const {
+    if (const auto* s = std::get_if<OwnedString>(&rep_)) {
+      uint32_t id = GlobalStringDict().Intern(s->get());
+      if (id != StringDict::kInvalidId) return Value(DictRef{id});
+    }
+    return *this;
   }
 
   bool operator==(const Value& other) const {
@@ -120,6 +132,34 @@ class Value {
   std::string ToString() const;
 
  private:
+  /// Owned-string representation. The string lives behind one pointer, so
+  /// a Value is 16 bytes instead of the 40 an inline std::string makes it —
+  /// every stored row and batch column pays per value. Copies are deep; a
+  /// moved-from value reads as "".
+  class OwnedString {
+   public:
+    explicit OwnedString(std::string s)
+        : s_(std::make_unique<std::string>(std::move(s))) {}
+    OwnedString(const OwnedString& o)
+        : s_(std::make_unique<std::string>(o.get())) {}
+    OwnedString& operator=(const OwnedString& o) {
+      if (this != &o) s_ = std::make_unique<std::string>(o.get());
+      return *this;
+    }
+    OwnedString(OwnedString&&) noexcept = default;
+    OwnedString& operator=(OwnedString&&) noexcept = default;
+
+    const std::string& get() const {
+      static const std::string kEmpty;
+      return s_ != nullptr ? *s_ : kEmpty;
+    }
+    bool operator==(const OwnedString& o) const { return get() == o.get(); }
+    bool operator<(const OwnedString& o) const { return get() < o.get(); }
+
+   private:
+    std::unique_ptr<std::string> s_;
+  };
+
   /// Interned-string representation: index into GlobalStringDict.
   struct DictRef {
     uint32_t id;
@@ -142,8 +182,10 @@ class Value {
     return 2;
   }
 
-  std::variant<std::monostate, int64_t, std::string, DictRef> rep_;
+  std::variant<std::monostate, int64_t, OwnedString, DictRef> rep_;
 };
+
+static_assert(sizeof(Value) == 16, "Value must stay two words");
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }

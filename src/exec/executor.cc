@@ -275,7 +275,6 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStmt& stmt,
     if (!more) break;
     StatAdd(stats_->batches);
     const size_t n = batch.size();
-    result.rows.reserve(result.rows.size() + n);
     for (size_t i = 0; i < n; ++i) {
       result.rows.push_back(batch.MaterializeTuple(i));
     }

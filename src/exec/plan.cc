@@ -76,7 +76,7 @@ Status SeqScanNode::OpenImpl() {
   shard_ = 0;
   cursor_ = 0;
   pos_ = 0;
-  rows_.clear();
+  batches_.clear();
   materialized_ = false;
 
   const ParallelismPolicy& tuning = GlobalParallelismPolicy();
@@ -91,7 +91,7 @@ Status SeqScanNode::OpenImpl() {
   }
 
   // Shard × morsel grid: each cell batch-filters one row range of one shard
-  // into a private buffer; buffers concatenate in grid order (shard-major,
+  // into a private batch; batches are handed out in grid order (shard-major,
   // then row order), matching the serial path exactly.
   materialized_ = true;
   const size_t morsel = std::max<size_t>(tuning.morsel_rows, 1);
@@ -113,13 +113,12 @@ Status SeqScanNode::OpenImpl() {
   }
   StatAdd(stats_->morsels, static_cast<int64_t>(grid.size()));
   CountMorsels(static_cast<int64_t>(grid.size()));
-  std::vector<std::vector<Tuple>> buffers(grid.size());
+  batches_.resize(grid.size());
   std::atomic<int64_t> scanned{0};
   pool.ParallelFor(0, grid.size(), [&](size_t g) {
     const Cell& cell = grid[g];
     const Table& shard = source_->shard(cell.shard);
-    std::vector<Tuple>& buf = buffers[g];
-    RowBatch batch;
+    RowBatch& batch = batches_[g];
     batch.Reset(shard.schema().num_columns());
     int64_t local = 0;
     for (RowId rid = cell.lo; rid < cell.hi; ++rid) {
@@ -129,29 +128,24 @@ Status SeqScanNode::OpenImpl() {
     }
     std::vector<uint32_t> sel;
     ApplyFilterToBatch(filter_.get(), &batch, &sel);
-    buf.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      buf.push_back(batch.MaterializeTuple(i));
-    }
     scanned.fetch_add(local, std::memory_order_relaxed);
   });
   StatAdd(stats_->rows_scanned, scanned.load(std::memory_order_relaxed));
-  size_t total = 0;
-  for (const auto& buf : buffers) total += buf.size();
-  rows_.reserve(total);
-  for (auto& buf : buffers) {
-    for (Tuple& t : buf) rows_.push_back(std::move(t));
-  }
   return Status::OK();
 }
 
 Result<bool> SeqScanNode::NextBatchImpl(RowBatch* out) {
   if (materialized_) {
-    out->Reset(output_width());
-    while (pos_ < rows_.size() && !out->full()) {
-      out->AppendRow(std::move(rows_[pos_++]));
+    // A cell's batch holds up to morsel_rows rows, past the batch target;
+    // consumers accept that, as they do for join output. Each batch is
+    // released as it is handed out.
+    while (pos_ < batches_.size()) {
+      RowBatch batch = std::move(batches_[pos_++]);
+      if (batch.empty()) continue;
+      out->Swap(batch);
+      return true;
     }
-    return !out->empty();
+    return false;
   }
   while (true) {
     cursor_ = source_->ScanBatch(shard_, cursor_, out, epoch_);
@@ -171,7 +165,7 @@ Result<bool> SeqScanNode::NextBatchImpl(RowBatch* out) {
 }
 
 void SeqScanNode::CloseImpl() {
-  rows_.clear();
+  batches_.clear();
   materialized_ = false;
 }
 

@@ -97,16 +97,6 @@ inline void StatAdd(std::atomic<int64_t>& counter, int64_t n = 1) {
   counter.fetch_add(n, std::memory_order_relaxed);
 }
 
-/// Deprecated: the morsel thresholds moved to ParallelismPolicy
-/// (common/parallelism.h) so all parallelism knobs live in one struct. The
-/// alias and accessor delegate to the global policy for source compat.
-using ParallelTuning = ParallelismPolicy;
-
-[[deprecated("use GlobalParallelismPolicy() from common/parallelism.h")]]
-inline ParallelTuning& GetParallelTuning() {
-  return GlobalParallelismPolicy();
-}
-
 /// Volcano-style physical operator, batch-at-a-time. Open() may be called
 /// repeatedly; each call resets the operator to produce its output from the
 /// beginning (the nested-loop join relies on this for its inner side).
@@ -225,8 +215,8 @@ using PlanNodePtr = std::unique_ptr<PlanNode>;
 /// Sources with at least ParallelismPolicy::seq_scan_min_rows total slots
 /// are scanned as a shard × morsel work grid on GlobalThreadPool at Open
 /// time; each grid cell filters its row range of one shard vectorized into
-/// a private buffer, and buffers concatenate in grid order, so results are
-/// identical to the serial path.
+/// a private batch, and the batches are handed out in grid order, so results
+/// are identical to the serial path.
 class SeqScanNode : public PlanNode {
  public:
   SeqScanNode(const ScanSource* source, BoundExprPtr filter, ExecStats* stats,
@@ -246,8 +236,8 @@ class SeqScanNode : public PlanNode {
   Epoch epoch_;  // read epoch for visibility checks
   size_t shard_ = 0;
   RowId cursor_ = 0;
-  bool materialized_ = false;     // parallel path: rows_ holds the output
-  std::vector<Tuple> rows_;
+  bool materialized_ = false;  // parallel path: batches_ holds the output
+  std::vector<RowBatch> batches_;  // one filtered batch per grid cell
   size_t pos_ = 0;
   std::vector<uint32_t> sel_scratch_;
 };

@@ -32,6 +32,17 @@ std::string CreateTableSql(const PredicateBinding& b) {
 
 }  // namespace
 
+BindingResolver CanonicalResolver(const QueryProgram& program) {
+  return [&program](const datalog::Atom& atom,
+                    size_t) -> Result<RelationBinding> {
+    auto it = program.bindings.find(atom.predicate);
+    if (it == program.bindings.end()) {
+      return Status::Internal("no binding for predicate " + atom.predicate);
+    }
+    return it->second.AsRelation();
+  };
+}
+
 std::vector<std::string> QueryProgram::AllSqlTexts() const {
   std::vector<std::string> out;
   out.insert(out.end(), create_statements.begin(), create_statements.end());
@@ -85,16 +96,7 @@ Result<QueryProgram> GenerateProgram(
                              MakeBinding(query.predicate, it->second, true));
   }
 
-  // Resolver used for exit/non-recursive rule SQL: every predicate maps to
-  // its canonical relation.
-  BindingResolver canonical = [&program](const datalog::Atom& atom,
-                                         size_t) -> Result<RelationBinding> {
-    auto it = program.bindings.find(atom.predicate);
-    if (it == program.bindings.end()) {
-      return Status::Internal("no binding for predicate " + atom.predicate);
-    }
-    return it->second.AsRelation();
-  };
+  const BindingResolver canonical = CanonicalResolver(program);
 
   for (const EvalNode& eval_node : order.nodes) {
     ProgramNode node;

@@ -97,6 +97,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   if (stats == nullptr) stats = &local;
   *stats = CompilationStats{};
   stats->query_id = options.query_id;
+  RoundPhasesOnExit<CompilationStats> round_phases(stats);
 
   CompiledQuery out;
   out.original_query = query;
@@ -105,7 +106,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   std::vector<Rule> relevant;
   std::set<std::string> reachable;  // P: query predicate + all reachable
   {
-    ScopedAccumulator acc(&stats->t_setup_us);
+    ScopedAccumulator acc(&stats->t_setup_ns);
     trace::ScopedSpan phase_span(options.span, "setup");
     Pcg ws_pcg;
     ws_pcg.AddNode(query.predicate);
@@ -120,7 +121,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // Steps 1.3-1.5 (t_extract): alternate between Stored-DKB extraction and
   // Workspace closure until the relevant sets stop growing.
   {
-    ScopedAccumulator acc(&stats->t_extract_us);
+    ScopedAccumulator acc(&stats->t_extract_ns);
     trace::ScopedSpan phase_span(options.span, "extract");
     while (true) {
       size_t before = relevant.size();
@@ -170,7 +171,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   std::map<std::string, PredicateTypes> base_types;
   std::set<std::string> base_preds;
   {
-    ScopedAccumulator acc(&stats->t_read_us);
+    ScopedAccumulator acc(&stats->t_read_ns);
     trace::ScopedSpan phase_span(options.span, "read");
     for (const std::string& p : reachable) {
       if (derived.count(p) == 0) base_preds.insert(p);
@@ -199,7 +200,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   magic::AdornmentFilter adornment_filter;
   bool have_adornment_filter = false;
   if (options.analyze) {
-    ScopedAccumulator acc(&stats->t_analyze_us);
+    ScopedAccumulator acc(&stats->t_analyze_ns);
     trace::ScopedSpan phase_span(options.span, "analyze");
     analysis::AnalyzerInput input;
     input.rules = relevant;
@@ -250,7 +251,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   Atom effective_query = query;
   bool apply_magic = options.magic_mode == MagicMode::kOn;
   if (options.magic_mode == MagicMode::kAdaptive) {
-    ScopedAccumulator acc(&stats->t_opt_us);
+    ScopedAccumulator acc(&stats->t_opt_ns);
     trace::ScopedSpan phase_span(options.span, "opt");
     DKB_ASSIGN_OR_RETURN(
         double selectivity,
@@ -260,7 +261,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
     apply_magic = selectivity < options.adaptive_threshold;
   }
   if (apply_magic) {
-    ScopedAccumulator acc(&stats->t_opt_us);
+    ScopedAccumulator acc(&stats->t_opt_ns);
     trace::ScopedSpan phase_span(options.span, "opt");
     DKB_ASSIGN_OR_RETURN(
         magic::MagicRewrite rewrite,
@@ -276,7 +277,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // Cliques + evaluation order list (t_eol).
   EvaluationOrder order;
   {
-    ScopedAccumulator acc(&stats->t_eol_us);
+    ScopedAccumulator acc(&stats->t_eol_ns);
     trace::ScopedSpan phase_span(options.span, "eol");
     DKB_ASSIGN_OR_RETURN(order, BuildEvaluationOrder(eval_rules, derived));
   }
@@ -284,14 +285,14 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // Semantic checks (t_sem): definedness + type inference.
   TypeCheckResult types;
   {
-    ScopedAccumulator acc(&stats->t_sem_us);
+    ScopedAccumulator acc(&stats->t_sem_ns);
     trace::ScopedSpan phase_span(options.span, "sem");
     DKB_ASSIGN_OR_RETURN(types, TypeCheck(eval_rules, base_types));
   }
 
   // Code generation (t_gen).
   {
-    ScopedAccumulator acc(&stats->t_gen_us);
+    ScopedAccumulator acc(&stats->t_gen_ns);
     trace::ScopedSpan phase_span(options.span, "gen");
     DKB_ASSIGN_OR_RETURN(
         out.program, GenerateProgram(order, types.derived_types, base_types,
@@ -301,7 +302,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // "Compile & link" (t_comp): parse every generated SQL text, the analogue
   // of compiling the emitted C fragment against the run time library.
   {
-    ScopedAccumulator acc(&stats->t_comp_us);
+    ScopedAccumulator acc(&stats->t_comp_ns);
     trace::ScopedSpan phase_span(options.span, "comp");
     for (const std::string& sql : out.program.AllSqlTexts()) {
       DKB_ASSIGN_OR_RETURN(sql::StatementPtr stmt, sql::ParseStatement(sql));

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "common/trace.h"
 #include "datalog/ast.h"
 #include "km/analysis/analyzer.h"
@@ -38,9 +39,34 @@ struct CompilationStats {
   bool magic_applied = false;          // rewrite actually changed the rules
   double estimated_selectivity = -1.0;  // adaptive mode only; -1 = not run
 
+  /// Nanosecond sums behind the t_* fields above. ScopedAccumulator adds
+  /// here, so sub-microsecond phases count; RoundPhases() writes the `_us`
+  /// fields once per compilation.
+  int64_t t_setup_ns = 0;
+  int64_t t_extract_ns = 0;
+  int64_t t_read_ns = 0;
+  int64_t t_analyze_ns = 0;
+  int64_t t_opt_ns = 0;
+  int64_t t_eol_ns = 0;
+  int64_t t_sem_ns = 0;
+  int64_t t_gen_ns = 0;
+  int64_t t_comp_ns = 0;
+
   int64_t total_us() const {
     return t_setup_us + t_extract_us + t_read_us + t_analyze_us + t_opt_us +
            t_eol_us + t_sem_us + t_gen_us + t_comp_us;
+  }
+
+  void RoundPhases() {
+    t_setup_us = NanosToMicros(t_setup_ns);
+    t_extract_us = NanosToMicros(t_extract_ns);
+    t_read_us = NanosToMicros(t_read_ns);
+    t_analyze_us = NanosToMicros(t_analyze_ns);
+    t_opt_us = NanosToMicros(t_opt_ns);
+    t_eol_us = NanosToMicros(t_eol_ns);
+    t_sem_us = NanosToMicros(t_sem_ns);
+    t_gen_us = NanosToMicros(t_gen_ns);
+    t_comp_us = NanosToMicros(t_comp_ns);
   }
 };
 

@@ -126,7 +126,11 @@ Status StoredDkb::InsertFacts(const std::string& pred,
   RowBatch batch;
   batch.Reset(table->schema().num_columns());
   for (const Tuple& t : tuples) {
-    batch.AppendRow(t);
+    // Storage interns every VARCHAR anyway; interning here spares the
+    // batch an owned copy of each string.
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      batch.column(c).push_back(t[c].InternedCopy());
+    }
     if (batch.full()) {
       DKB_RETURN_IF_ERROR(table->AppendBatch(batch));
       batch.Reset(table->schema().num_columns());

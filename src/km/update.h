@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "km/stored_dkb.h"
 #include "km/workspace.h"
 
@@ -21,8 +22,25 @@ struct UpdateStats {
   int64_t closure_edges = 0;   // |TC| of the composite PCG (the paper's R_c)
   int64_t composite_rules = 0;
 
+  /// Nanosecond sums behind the t_* fields above. ScopedAccumulator adds
+  /// here, so sub-microsecond phases count; RoundPhases() writes the `_us`
+  /// fields once per update.
+  int64_t t_extract_ns = 0;
+  int64_t t_tc_ns = 0;
+  int64_t t_typecheck_ns = 0;
+  int64_t t_dict_ns = 0;
+  int64_t t_store_ns = 0;
+
   int64_t total_us() const {
     return t_extract_us + t_tc_us + t_typecheck_us + t_dict_us + t_store_us;
+  }
+
+  void RoundPhases() {
+    t_extract_us = NanosToMicros(t_extract_ns);
+    t_tc_us = NanosToMicros(t_tc_ns);
+    t_typecheck_us = NanosToMicros(t_typecheck_ns);
+    t_dict_us = NanosToMicros(t_dict_ns);
+    t_store_us = NanosToMicros(t_store_ns);
   }
 };
 

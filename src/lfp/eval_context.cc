@@ -1,7 +1,5 @@
 #include "lfp/eval_context.h"
 
-#include <unordered_set>
-
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
@@ -12,48 +10,51 @@ namespace {
 /// True when two sources have identical sharding layouts: same shard count
 /// and same partition column. Because ShardOf is a pure function of the key
 /// value, aligned sources place identical tuples in the same shard index —
-/// which makes per-shard set operations (diff, copy) exact with no
+/// which makes per-shard set operations (merge, copy) exact with no
 /// cross-shard exchange.
 bool Aligned(const ScanSource& a, const ScanSource& b) {
   return a.shard_count() == b.shard_count() &&
          a.partition_column() == b.partition_column();
 }
 
+/// Seed-fact INSERT ... VALUES text for an empty-body rule.
+std::string SeedInsertSql(const datalog::Rule& seed, const std::string& table) {
+  std::string sql = "INSERT INTO " + table + " VALUES (";
+  for (size_t i = 0; i < seed.head.args.size(); ++i) {
+    if (i > 0) sql += ", ";
+    sql += seed.head.args[i].value.ToSqlLiteral();
+  }
+  sql += ")";
+  return sql;
+}
+
+/// INSERT the (distinct) result of `select` into `table`, skipping rows
+/// already present: INSERT INTO t (select) EXCEPT (SELECT * FROM t).
+std::string InsertNewSql(const std::string& table, const std::string& select) {
+  return "INSERT INTO " + table + " (" + select + ") EXCEPT (SELECT * FROM " +
+         table + ")";
+}
+
 }  // namespace
 
 Status EvalContext::Temp(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_temp_us);
+  ScopedAccumulator acc(&stats_->t_temp_ns);
   return db_->Execute(sql).status();
 }
 
 Status EvalContext::Rhs(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_rhs_us);
+  ScopedAccumulator acc(&stats_->t_rhs_ns);
   return db_->Execute(sql).status();
 }
 
 Status EvalContext::Term(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_term_us);
+  ScopedAccumulator acc(&stats_->t_term_ns);
   return db_->Execute(sql).status();
 }
 
 Result<int64_t> EvalContext::TermCount(const std::string& count_sql) {
-  ScopedAccumulator acc(&stats_->t_term_us);
+  ScopedAccumulator acc(&stats_->t_term_ns);
   return db_->QueryCount(count_sql);
-}
-
-Status EvalContext::TermPrepared(PreparedStatement* stmt) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  return stmt->Execute().status();
-}
-
-Result<int64_t> EvalContext::TermCountPrepared(PreparedStatement* count_stmt) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  DKB_ASSIGN_OR_RETURN(QueryResult result, count_stmt->Execute());
-  if (result.rows.empty() || result.rows[0].empty() ||
-      !result.rows[0][0].is_int()) {
-    return Status::Internal("termination count returned no integer");
-  }
-  return result.rows[0][0].as_int();
 }
 
 Status EvalContext::CreateLike(const std::string& name,
@@ -105,6 +106,16 @@ Status EvalContext::EvalRuleInto(const datalog::Rule& rule,
   return status;
 }
 
+Status EvalContext::EvalExitRule(const km::QueryProgram& program,
+                                 const km::CompiledRule& cr,
+                                 const std::string& target,
+                                 const std::string& bind_prefix) {
+  if (cr.rule.body.empty()) return Rhs(SeedInsertSql(cr.rule, target));
+  if (!cr.select_sql.empty()) return Rhs(InsertNewSql(target, cr.select_sql));
+  return EvalRuleInto(cr.rule, km::CanonicalResolver(program), target,
+                      bind_prefix);
+}
+
 Status EvalContext::Clear(const std::string& name) {
   return Temp("DELETE FROM " + name);
 }
@@ -114,14 +125,14 @@ Status EvalContext::Copy(const std::string& dst, const std::string& src) {
 }
 
 Status EvalContext::ClearTable(const std::string& name) {
-  ScopedAccumulator acc(&stats_->t_temp_us);
+  ScopedAccumulator acc(&stats_->t_temp_ns);
   DKB_ASSIGN_OR_RETURN(ScanSource * table, db_->catalog().GetSource(name));
   table->Clear();
   return Status::OK();
 }
 
 Status EvalContext::CopyTable(const std::string& dst, const std::string& src) {
-  ScopedAccumulator acc(&stats_->t_temp_us);
+  ScopedAccumulator acc(&stats_->t_temp_ns);
   DKB_ASSIGN_OR_RETURN(ScanSource * d, db_->catalog().GetSource(dst));
   DKB_ASSIGN_OR_RETURN(ScanSource * s, db_->catalog().GetSource(src));
   // Sessions read base tables at their pinned epoch; temps are unversioned
@@ -164,123 +175,74 @@ Status EvalContext::CopyTable(const std::string& dst, const std::string& src) {
   return Status::OK();
 }
 
-Result<int64_t> EvalContext::DiffInto(const std::string& diff,
-                                      const std::string& new_table,
-                                      const std::string& full) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  DKB_ASSIGN_OR_RETURN(ScanSource * dst, db_->catalog().GetSource(diff));
-  DKB_ASSIGN_OR_RETURN(ScanSource * src_new,
-                       db_->catalog().GetSource(new_table));
-  DKB_ASSIGN_OR_RETURN(ScanSource * src_full,
-                       db_->catalog().GetSource(full));
+Status EvalContext::SeedDedup(const std::string& full, DedupSet* dedup) {
+  ScopedAccumulator acc(&stats_->t_term_ns);
+  DKB_ASSIGN_OR_RETURN(ScanSource * f, db_->catalog().GetSource(full));
+  const Epoch at = db_->catalog().read_epoch();
+  dedup->clear();
+  for (size_t sh = 0; sh < f->shard_count(); ++sh) {
+    const Table& shard = f->shard(sh);
+    const ShardRowKey key{&shard};
+    RowIdSet& seen = dedup->emplace_back(shard.num_tuples(), key, key);
+    shard.Scan([&](RowId rid, const Tuple&) { seen.insert(rid); }, at);
+  }
+  return Status::OK();
+}
+
+Result<int64_t> EvalContext::MergeNew(const std::string& new_table,
+                                      const std::string& full,
+                                      const std::string& delta,
+                                      DedupSet* dedup) {
+  ScopedAccumulator acc(&stats_->t_term_ns);
+  DKB_ASSIGN_OR_RETURN(ScanSource * n, db_->catalog().GetSource(new_table));
+  DKB_ASSIGN_OR_RETURN(ScanSource * f, db_->catalog().GetSource(full));
+  DKB_ASSIGN_OR_RETURN(ScanSource * d, db_->catalog().GetSource(delta));
   const Epoch at = db_->catalog().read_epoch();
 
-  // One shard's diff: dedups new-rows of shard `sh` against full-rows of
-  // shard `sh`, appending survivors to dst's shard `sh`.
-  auto diff_shard = [&](size_t sh, int64_t* appended) -> Status {
-    const Table& full_shard = src_full->shard(sh);
-    const Table& new_shard = src_new->shard(sh);
-    Table& dst_shard = dst->shard(sh);
-
-    // Seed the dedup set with the accumulated relation; stored tuples carry
-    // interned VARCHARs, so hashing and equality are O(1) per value.
-    std::unordered_set<Tuple, TupleHash> seen;
-    seen.reserve(full_shard.num_tuples() + new_shard.num_tuples());
-    RowBatch batch;
-    RowId cursor = 0;
-    while (true) {
-      cursor = full_shard.ScanBatch(cursor, &batch, at);
-      if (batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        seen.insert(batch.MaterializeTuple(i));
-      }
-    }
-
-    RowBatch out;
-    out.Reset(dst_shard.schema().num_columns());
-    cursor = 0;
-    while (true) {
-      cursor = new_shard.ScanBatch(cursor, &batch, at);
-      if (batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Tuple t = batch.MaterializeTuple(i);
-        if (seen.count(t) > 0) continue;
-        out.AppendRow(t);
-        seen.insert(std::move(t));
-        ++*appended;
-        if (out.full()) {
-          DKB_RETURN_IF_ERROR(dst_shard.AppendBatch(out));
-          out.Reset(dst_shard.schema().num_columns());
-        }
-      }
-    }
-    if (!out.empty()) DKB_RETURN_IF_ERROR(dst_shard.AppendBatch(out));
-    return Status::OK();
+  // Appends `t` to shard `home` of full and to `delta_shard` unless that
+  // full shard already holds it. The set is probed with the row itself and
+  // stores only the RowId the append returns.
+  auto merge = [&](const Tuple& t, size_t home, Table& delta_shard) {
+    RowIdSet& seen = (*dedup)[home];
+    if (seen.find(t) != seen.end()) return false;
+    seen.insert(f->shard(home).InsertUnchecked(t));
+    delta_shard.InsertUnchecked(t);
+    return true;
   };
 
-  const size_t nshards = dst->shard_count();
-  ThreadPool& pool = GlobalThreadPool();
-  if (nshards > 1 && Aligned(*dst, *src_new) && Aligned(*dst, *src_full)) {
-    // Aligned layout means identical tuples land in the same shard index
-    // everywhere, so each shard's diff is exact on its own — this is the
-    // shard-parallel termination diff at the heart of the semi-naive loop.
+  const size_t nshards = f->shard_count();
+  if (Aligned(*f, *n) && Aligned(*f, *d)) {
+    // Aligned layouts place identical tuples in the same shard index
+    // everywhere, so each shard merges on its own: distinct shards are
+    // mutable by distinct threads.
     std::vector<int64_t> counts(nshards, 0);
-    std::vector<Status> statuses(nshards);
-    if (pool.num_threads() > 0) {
-      pool.ParallelFor(0, nshards, [&](size_t sh) {
-        statuses[sh] = diff_shard(sh, &counts[sh]);
-      });
+    auto merge_shard = [&](size_t sh) {
+      Table& delta_shard = d->shard(sh);
+      n->shard(sh).Scan(
+          [&](RowId, const Tuple& t) {
+            counts[sh] += merge(t, sh, delta_shard);
+          },
+          at);
+    };
+    ThreadPool& pool = GlobalThreadPool();
+    if (nshards > 1 && pool.num_threads() > 0) {
+      pool.ParallelFor(0, nshards, merge_shard);
     } else {
-      for (size_t sh = 0; sh < nshards; ++sh) {
-        statuses[sh] = diff_shard(sh, &counts[sh]);
-      }
+      for (size_t sh = 0; sh < nshards; ++sh) merge_shard(sh);
     }
     int64_t appended = 0;
-    for (size_t sh = 0; sh < nshards; ++sh) {
-      DKB_RETURN_IF_ERROR(statuses[sh]);
-      appended += counts[sh];
-    }
-    return appended;
-  }
-  if (nshards == 1 && src_new->shard_count() == 1 &&
-      src_full->shard_count() == 1) {
-    int64_t appended = 0;
-    DKB_RETURN_IF_ERROR(diff_shard(0, &appended));
+    for (int64_t c : counts) appended += c;
     return appended;
   }
 
-  // Unaligned fallback: global dedup set over all shards of full, then
-  // route survivors through dst's AppendBatch (hash repartitioning).
-  std::unordered_set<Tuple, TupleHash> seen;
-  seen.reserve(src_full->num_tuples() + src_new->num_tuples());
-  RowBatch batch;
-  src_full->Scan([&](RowId, const Tuple& t) { seen.insert(t); }, at);
+  // Unaligned fallback: route each row to its home shard of full and of
+  // delta.
   int64_t appended = 0;
-  RowBatch out;
-  out.Reset(dst->schema().num_columns());
-  Status append_status = Status::OK();
-  for (size_t sh = 0; sh < src_new->shard_count() && append_status.ok();
-       ++sh) {
-    RowId cursor = 0;
-    while (append_status.ok()) {
-      cursor = src_new->ScanBatch(sh, cursor, &batch, at);
-      if (batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Tuple t = batch.MaterializeTuple(i);
-        if (seen.count(t) > 0) continue;
-        out.AppendRow(t);
-        seen.insert(std::move(t));
-        ++appended;
-        if (out.full()) {
-          append_status = dst->AppendBatch(out);
-          if (!append_status.ok()) break;
-          out.Reset(dst->schema().num_columns());
-        }
-      }
-    }
-  }
-  DKB_RETURN_IF_ERROR(append_status);
-  if (!out.empty()) DKB_RETURN_IF_ERROR(dst->AppendBatch(out));
+  n->Scan(
+      [&](RowId, const Tuple& t) {
+        appended += merge(t, f->ShardOf(t), d->shard(d->ShardOf(t)));
+      },
+      at);
   return appended;
 }
 
@@ -290,23 +252,6 @@ Status EvalContext::Drop(const std::string& name) {
 
 Result<int64_t> EvalContext::Count(const std::string& name) {
   return db_->QueryCount("SELECT COUNT(*) FROM " + name);
-}
-
-std::string EvalContext::SeedInsertSql(const datalog::Rule& seed,
-                                       const km::PredicateBinding& binding) {
-  std::string sql = "INSERT INTO " + binding.table + " VALUES (";
-  for (size_t i = 0; i < seed.head.args.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += seed.head.args[i].value.ToSqlLiteral();
-  }
-  sql += ")";
-  return sql;
-}
-
-std::string EvalContext::InsertNewSql(const std::string& table,
-                                      const std::string& select) {
-  return "INSERT INTO " + table + " (" + select + ") EXCEPT (SELECT * FROM " +
-         table + ")";
 }
 
 }  // namespace dkb::lfp

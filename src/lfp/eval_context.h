@@ -2,14 +2,39 @@
 #define DKB_LFP_EVAL_CONTEXT_H_
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/trace.h"
 #include "km/codegen.h"
 #include "lfp/evaluator.h"
 #include "rdbms/database.h"
+#include "storage/table.h"
 
 namespace dkb::lfp {
+
+/// Hash and equality over the rows of one Table shard addressed by RowId,
+/// transparent to `const Tuple&` so a candidate row is probed without being
+/// copied into a key.
+struct ShardRowKey {
+  using is_transparent = void;
+  const Table* shard;
+
+  const Tuple& Row(RowId rid) const { return shard->Get(rid); }
+  const Tuple& Row(const Tuple& t) const { return t; }
+  size_t operator()(const auto& key) const { return HashTuple(Row(key)); }
+  bool operator()(const auto& a, const auto& b) const {
+    return Row(a) == Row(b);
+  }
+};
+
+/// The distinct rows of one shard of a full IDB table, held as RowIds.
+using RowIdSet = std::unordered_set<RowId, ShardRowKey, ShardRowKey>;
+
+/// Semi-naive dedup state of one clique member: one RowIdSet per shard of
+/// its full IDB table. It lives for the whole clique evaluation, so the
+/// termination step never rescans the accumulated relation.
+using DedupSet = std::vector<RowIdSet>;
 
 /// Shared machinery for the SQL-driven evaluators: executes statements
 /// against the DBMS and attributes wall-clock time to the paper's cost
@@ -19,7 +44,6 @@ class EvalContext {
   EvalContext(Database* db, ExecutionStats* stats)
       : db_(db), stats_(stats) {}
 
-  Database* db() { return db_; }
   ExecutionStats* stats() { return stats_; }
 
   /// Trace span of the node currently being evaluated; the clique
@@ -41,11 +65,6 @@ class EvalContext {
   Status Term(const std::string& sql);
   Result<int64_t> TermCount(const std::string& count_sql);
 
-  /// Prepared-statement variants for per-iteration termination work: the
-  /// statement is parsed once (Database::Prepare) and re-executed here.
-  Status TermPrepared(PreparedStatement* stmt);
-  Result<int64_t> TermCountPrepared(PreparedStatement* count_stmt);
-
   /// CREATE TABLE `name` with the column layout of `binding`.
   Status CreateLike(const std::string& name,
                     const km::PredicateBinding& binding);
@@ -62,6 +81,14 @@ class EvalContext {
                       const std::string& target,
                       const std::string& bind_prefix);
 
+  /// Evaluates exit (or non-recursive) rule `cr` into `target`: a seed
+  /// INSERT ... VALUES for an empty body, the precompiled select as an
+  /// INSERT-new, or else the binding-table pipeline over the program's
+  /// relations, whose temps `bind_prefix` names.
+  Status EvalExitRule(const km::QueryProgram& program,
+                      const km::CompiledRule& cr, const std::string& target,
+                      const std::string& bind_prefix);
+
   /// DELETE FROM `name` (attributed to temp management).
   Status Clear(const std::string& name);
 
@@ -72,33 +99,29 @@ class EvalContext {
   /// SQL round-trip (temp-management bucket).
   Status ClearTable(const std::string& name);
 
-  /// Batch-native variant of Copy: streams `src` into `dst` with
+  /// Batch-native variant of Copy: appends `src` to `dst` with
   /// Table::ScanBatch/AppendBatch (temp-management bucket).
   Status CopyTable(const std::string& dst, const std::string& src);
 
-  /// Batch-native semi-naive termination step: appends to `diff` every
-  /// distinct row of `new_table` not already in `full` and returns how many
-  /// were appended. Dedup runs over a hash set keyed on interned values —
-  /// the O(1)-hash replacement for the prepared
+  /// Resets `dedup` to the distinct rows of `full`, one set per shard
+  /// (termination bucket). Runs once per clique, after the exit rules.
+  Status SeedDedup(const std::string& full, DedupSet* dedup);
+
+  /// Semi-naive termination step: every row of `new_table` not yet in
+  /// `dedup` is appended to `full` and to `delta` and recorded in `dedup`;
+  /// returns how many were. Costs O(|new| + |appended|), independent of
+  /// |full| — the replacement for the
   /// `INSERT INTO diff (SELECT * FROM new) EXCEPT (SELECT * FROM full)`
-  /// + COUNT(*) statement pair (termination bucket).
-  Result<int64_t> DiffInto(const std::string& diff,
-                           const std::string& new_table,
-                           const std::string& full);
+  /// + COUNT(*) statement pair followed by `full += diff` (termination
+  /// bucket). Aligned layouts merge shard by shard in parallel.
+  Result<int64_t> MergeNew(const std::string& new_table,
+                           const std::string& full, const std::string& delta,
+                           DedupSet* dedup);
 
   Status Drop(const std::string& name);
 
   /// COUNT(*) of a table (not attributed; diagnostics).
   Result<int64_t> Count(const std::string& name);
-
-  /// Seed-fact INSERT ... VALUES text for an empty-body rule.
-  static std::string SeedInsertSql(const datalog::Rule& seed,
-                                   const km::PredicateBinding& binding);
-
-  /// INSERT the (distinct) result of `select` into `table`, skipping rows
-  /// already present: INSERT INTO t (select) EXCEPT (SELECT * FROM t).
-  static std::string InsertNewSql(const std::string& table,
-                                  const std::string& select);
 
  private:
   Database* db_;

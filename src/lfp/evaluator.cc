@@ -18,31 +18,11 @@ namespace {
 /// binding-table pipeline for rules with negated atoms).
 Status EvaluateFlatNode(EvalContext* ctx, const km::QueryProgram& program,
                         const km::ProgramNode& node, size_t node_index) {
-  km::BindingResolver canonical =
-      [&program](const datalog::Atom& atom,
-                 size_t) -> Result<km::RelationBinding> {
-    auto it = program.bindings.find(atom.predicate);
-    if (it == program.bindings.end()) {
-      return Status::Internal("no binding for " + atom.predicate);
-    }
-    return it->second.AsRelation();
-  };
-  size_t rule_index = 0;
-  for (const km::CompiledRule& cr : node.exit_rules) {
-    const km::PredicateBinding& b =
-        program.bindings.at(cr.rule.head.predicate);
-    if (cr.rule.body.empty()) {
-      DKB_RETURN_IF_ERROR(ctx->Rhs(EvalContext::SeedInsertSql(cr.rule, b)));
-    } else if (!cr.select_sql.empty()) {
-      DKB_RETURN_IF_ERROR(
-          ctx->Rhs(EvalContext::InsertNewSql(b.table, cr.select_sql)));
-    } else {
-      DKB_RETURN_IF_ERROR(ctx->EvalRuleInto(
-          cr.rule, canonical, b.table,
-          "#n" + std::to_string(node_index) + "flat" +
-              std::to_string(rule_index)));
-    }
-    ++rule_index;
+  for (size_t i = 0; i < node.exit_rules.size(); ++i) {
+    const km::CompiledRule& cr = node.exit_rules[i];
+    DKB_RETURN_IF_ERROR(ctx->EvalExitRule(
+        program, cr, program.bindings.at(cr.rule.head.predicate).table,
+        "#n" + std::to_string(node_index) + "flat" + std::to_string(i)));
   }
   return Status::OK();
 }
@@ -191,9 +171,9 @@ Status RunNodesParallel(Database* db, const km::QueryProgram& program,
   }
 
   for (size_t i = 0; i < n; ++i) {
-    stats->t_temp_us += locals[i].t_temp_us;
-    stats->t_rhs_us += locals[i].t_rhs_us;
-    stats->t_term_us += locals[i].t_term_us;
+    stats->t_temp_ns += locals[i].t_temp_ns;
+    stats->t_rhs_ns += locals[i].t_rhs_ns;
+    stats->t_term_ns += locals[i].t_term_ns;
     stats->iterations += locals[i].iterations;
     for (NodeStats& ns : locals[i].nodes) {
       stats->nodes.push_back(std::move(ns));
@@ -229,6 +209,7 @@ Result<QueryResult> ExecuteProgram(Database* db,
   if (stats == nullptr) stats = &local;
   *stats = ExecutionStats{};
   stats->query_id = options.query_id;
+  RoundPhasesOnExit<ExecutionStats> round_phases(stats);
 
   if (options.strategy == LfpStrategy::kNative ||
       options.strategy == LfpStrategy::kNativeTc) {
@@ -272,7 +253,7 @@ Result<QueryResult> ExecuteProgram(Database* db,
 
   Result<QueryResult> answer = Status::Internal("unreachable");
   if (status.ok()) {
-    ScopedAccumulator acc(&stats->t_final_us);
+    ScopedAccumulator acc(&stats->t_final_ns);
     trace::ScopedSpan final_span(options.span, "final");
     answer = db->Execute(program.final_select);
   } else {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/timer.h"
 #include "common/trace.h"
 #include "km/codegen.h"
 #include "rdbms/database.h"
@@ -66,9 +67,23 @@ struct ExecutionStats {
   int64_t t_term_us = 0;   // termination checks (set difference + count)
   int64_t t_final_us = 0;  // final answer retrieval
   int64_t t_total_us = 0;
+  /// Nanosecond sums behind the four buckets above. ScopedAccumulator adds
+  /// here, so sub-microsecond steps count; RoundPhases() writes the `_us`
+  /// fields once per query.
+  int64_t t_temp_ns = 0;
+  int64_t t_rhs_ns = 0;
+  int64_t t_term_ns = 0;
+  int64_t t_final_ns = 0;
   int64_t iterations = 0;  // summed over all cliques
   int64_t answer_tuples = 0;
   std::vector<NodeStats> nodes;
+
+  void RoundPhases() {
+    t_temp_us = NanosToMicros(t_temp_ns);
+    t_rhs_us = NanosToMicros(t_rhs_ns);
+    t_term_us = NanosToMicros(t_term_ns);
+    t_final_us = NanosToMicros(t_final_ns);
+  }
 };
 
 /// Runs the generated query program against the DBMS and returns the answer

@@ -15,17 +15,9 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
                                       node.predicates.end());
   const std::string np = "#n" + std::to_string(node_index);
 
-  // Canonical resolver: every predicate reads its stored relation. During
-  // an iteration the member relations hold the previous iteration's value.
-  km::BindingResolver canonical =
-      [&program](const datalog::Atom& atom,
-                 size_t) -> Result<km::RelationBinding> {
-    auto it = program.bindings.find(atom.predicate);
-    if (it == program.bindings.end()) {
-      return Status::Internal("no binding for " + atom.predicate);
-    }
-    return it->second.AsRelation();
-  };
+  // Every predicate reads its stored relation. During an iteration the
+  // member relations hold the previous iteration's value.
+  const km::BindingResolver canonical = km::CanonicalResolver(program);
 
   // Temp tables: #p_new (recomputed value) and #p_diff (termination check).
   for (const std::string& p : node.predicates) {
@@ -34,29 +26,16 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
     DKB_RETURN_IF_ERROR(ctx->CreateLike(km::DiffTableName(p), b));
   }
 
-  // Evaluates one exit rule into `target` (seed insert, precompiled
-  // select, or binding-table pipeline for negated rules).
-  auto eval_exit = [&](const km::CompiledRule& cr, const std::string& target,
-                       size_t index) -> Status {
-    if (cr.rule.body.empty()) {
-      const km::PredicateBinding& b =
-          program.bindings.at(cr.rule.head.predicate);
-      km::PredicateBinding tmp = b;
-      tmp.table = target;
-      return ctx->Rhs(EvalContext::SeedInsertSql(cr.rule, tmp));
-    }
-    if (!cr.select_sql.empty()) {
-      return ctx->Rhs(EvalContext::InsertNewSql(target, cr.select_sql));
-    }
-    return ctx->EvalRuleInto(cr.rule, canonical, target,
-                             np + "nx" + std::to_string(index));
+  auto eval_exit = [&](size_t i, const std::string& target) {
+    return ctx->EvalExitRule(program, node.exit_rules[i], target,
+                             np + "nx" + std::to_string(i));
   };
 
   // p^(0): exit rules into the base relations.
   for (size_t i = 0; i < node.exit_rules.size(); ++i) {
     const km::PredicateBinding& b =
         program.bindings.at(node.exit_rules[i].rule.head.predicate);
-    DKB_RETURN_IF_ERROR(eval_exit(node.exit_rules[i], b.table, i));
+    DKB_RETURN_IF_ERROR(eval_exit(i, b.table));
   }
 
   int64_t iterations = 0;
@@ -70,8 +49,7 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
     }
     for (size_t i = 0; i < node.exit_rules.size(); ++i) {
       DKB_RETURN_IF_ERROR(eval_exit(
-          node.exit_rules[i],
-          km::NewTableName(node.exit_rules[i].rule.head.predicate), i));
+          i, km::NewTableName(node.exit_rules[i].rule.head.predicate)));
     }
     for (size_t ri = 0; ri < node.recursive_rules.size(); ++ri) {
       const datalog::Rule& rule = node.recursive_rules[ri];

@@ -214,7 +214,7 @@ class NativeExecutor {
 
     Result<QueryResult> answer = Status::Internal("unreachable");
     if (status.ok()) {
-      ScopedAccumulator acc(&stats_->t_final_us);
+      ScopedAccumulator acc(&stats_->t_final_ns);
       trace::ScopedSpan final_span(span_, "final");
       answer = db_->Execute(program_.final_select);
     } else {
@@ -236,7 +236,7 @@ class NativeExecutor {
 
  private:
   Status Temp(const std::string& sql) {
-    ScopedAccumulator acc(&stats_->t_temp_us);
+    ScopedAccumulator acc(&stats_->t_temp_ns);
     return db_->Execute(sql).status();
   }
 
@@ -244,7 +244,7 @@ class NativeExecutor {
   Result<NativeRelation*> Rel(const std::string& pred) {
     auto it = relations_.find(pred);
     if (it != relations_.end()) return it->second.get();
-    ScopedAccumulator acc(&stats_->t_temp_us);
+    ScopedAccumulator acc(&stats_->t_temp_ns);
     auto binding_it = program_.bindings.find(pred);
     if (binding_it == program_.bindings.end()) {
       return Status::Internal("no binding for " + pred);
@@ -323,7 +323,7 @@ class NativeExecutor {
     // Exit rules populate the initial relations; the initial delta is the
     // whole relation.
     {
-      ScopedAccumulator acc(&stats_->t_rhs_us);
+      ScopedAccumulator acc(&stats_->t_rhs_ns);
       for (const km::CompiledRule& cr : node.exit_rules) {
         NativeRelation* full = relations_.at(cr.rule.head.predicate).get();
         NativeRelation* d = delta.at(cr.rule.head.predicate).get();
@@ -355,7 +355,7 @@ class NativeExecutor {
         new_delta[p] = std::make_unique<NativeRelation>();
       }
       {
-        ScopedAccumulator acc(&stats_->t_rhs_us);
+        ScopedAccumulator acc(&stats_->t_rhs_ns);
         for (const datalog::Rule& rule : node.recursive_rules) {
           DKB_ASSIGN_OR_RETURN(std::vector<NativeRelation*> rels,
                                BodyRels(rule));
@@ -380,7 +380,7 @@ class NativeExecutor {
       bool changed = false;
       int64_t delta_total = 0;
       {
-        ScopedAccumulator acc(&stats_->t_term_us);
+        ScopedAccumulator acc(&stats_->t_term_ns);
         for (const auto& [p, nd] : new_delta) {
           if (!nd->empty()) changed = true;
           delta_total += static_cast<int64_t>(nd->size());
@@ -393,7 +393,7 @@ class NativeExecutor {
       // Merge deltas (incremental index extension, no copies) and swap the
       // delta pointers.
       {
-        ScopedAccumulator acc(&stats_->t_rhs_us);
+        ScopedAccumulator acc(&stats_->t_rhs_ns);
         for (const std::string& p : node.predicates) {
           NativeRelation* full = relations_.at(p).get();
           for (const Tuple& t : new_delta.at(p)->rows()) full->Insert(t);
@@ -411,7 +411,7 @@ class NativeExecutor {
     DKB_ASSIGN_OR_RETURN(NativeRelation * edges, Rel(shape.edge_predicate));
     auto full = std::make_unique<NativeRelation>();
     {
-      ScopedAccumulator acc(&stats_->t_rhs_us);
+      ScopedAccumulator acc(&stats_->t_rhs_ns);
       std::vector<Tuple> closure;
       ComputeTransitiveClosure(edges->rows(), &closure);
       for (Tuple& t : closure) full->Insert(std::move(t));
@@ -424,7 +424,7 @@ class NativeExecutor {
   /// Writes every derived relation back into its IDB table, a batch at a
   /// time (Table::AppendBatch interns and maintains indexes per batch).
   Status StoreDerived() {
-    ScopedAccumulator acc(&stats_->t_temp_us);
+    ScopedAccumulator acc(&stats_->t_temp_ns);
     RowBatch batch;
     for (const km::ProgramNode& node : program_.nodes) {
       for (const std::string& p : node.predicates) {

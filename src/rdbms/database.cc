@@ -58,16 +58,39 @@ Result<QueryResult> PreparedStatement::Execute() {
 // Database
 // ---------------------------------------------------------------------------
 
+std::shared_ptr<const sql::Statement> Database::StatementCache::Find(
+    const std::string& sql) {
+  auto it = index.find(sql);
+  if (it == index.end()) return nullptr;
+  lru.splice(lru.begin(), lru, it->second);
+  return it->second->second;
+}
+
+void Database::StatementCache::Insert(
+    const std::string& sql, std::shared_ptr<const sql::Statement> stmt) {
+  if (index.count(sql) > 0) return;
+  if (index.size() >= kCapacity) {
+    index.erase(lru.back().first);
+    lru.pop_back();
+  }
+  lru.emplace_front(sql, std::move(stmt));
+  index.emplace(lru.front().first, lru.begin());
+}
+
+void Database::StatementCache::Clear() {
+  index.clear();
+  lru.clear();
+}
+
 Result<std::shared_ptr<const sql::Statement>> Database::ParseCached(
     const std::string& sql) {
   {
     MutexLock lock(cache_.mu());
-    const StatementCache& cache = cache_.Ref();
+    StatementCache& cache = cache_.Ref();
     if (cache.enabled) {
-      auto it = cache.parsed.find(sql);
-      if (it != cache.parsed.end()) {
+      if (auto hit = cache.Find(sql)) {
         exec::StatAdd(stats_.statement_cache_hits);
-        return it->second;
+        return hit;
       }
     }
   }
@@ -75,13 +98,7 @@ Result<std::shared_ptr<const sql::Statement>> Database::ParseCached(
   std::shared_ptr<const sql::Statement> stmt(std::move(parsed));
   MutexLock lock(cache_.mu());
   StatementCache& cache = cache_.Ref();
-  if (cache.enabled) {
-    // Unbounded growth guard: rule programs reuse a modest set of texts, but
-    // bulk INSERT VALUES strings are one-shot — evict wholesale when large.
-    // Shared ownership keeps outstanding PreparedStatements valid.
-    if (cache.parsed.size() >= 4096) cache.parsed.clear();
-    cache.parsed.emplace(sql, stmt);
-  }
+  if (cache.enabled) cache.Insert(sql, stmt);
   return stmt;
 }
 
@@ -89,7 +106,7 @@ void Database::set_statement_cache_enabled(bool enabled) {
   MutexLock lock(cache_.mu());
   StatementCache& cache = cache_.Ref();
   cache.enabled = enabled;
-  if (!enabled) cache.parsed.clear();
+  if (!enabled) cache.Clear();
 }
 
 bool Database::statement_cache_enabled() const {

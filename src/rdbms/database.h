@@ -1,9 +1,12 @@
 #ifndef DKB_RDBMS_DATABASE_H_
 #define DKB_RDBMS_DATABASE_H_
 
+#include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -117,14 +120,34 @@ class Database {
                                     const std::vector<Value>* params,
                                     const std::string& text);
 
-  /// Parsed-statement cache. The enabled flag and the map change together
-  /// (disabling clears the map), so both live under one Guarded lock; the
-  /// cached statements themselves are immutable and handed out by
-  /// shared_ptr, so they need no lock once returned.
+  /// Parsed-statement cache that evicts the least recently used text. The
+  /// enabled flag and the entries change together (disabling clears them),
+  /// so both live under one Guarded lock; the cached statements themselves
+  /// are immutable and handed out by shared_ptr, so they need no lock once
+  /// returned, and eviction never invalidates a PreparedStatement.
   struct StatementCache {
+    /// Rule programs reuse a modest set of texts, but bulk INSERT VALUES
+    /// strings are one-shot: past this many texts the least recently used
+    /// one goes, so a text in steady use survives any stream of one-shot
+    /// texts.
+    static constexpr size_t kCapacity = 4096;
+
+    using Entry = std::pair<std::string, std::shared_ptr<const sql::Statement>>;
+
+    /// The cached statement for `sql`, marked most recently used; null on a
+    /// miss.
+    std::shared_ptr<const sql::Statement> Find(const std::string& sql);
+    /// Caches `stmt` under `sql` (a no-op if present), evicting the least
+    /// recently used text when full.
+    void Insert(const std::string& sql,
+                std::shared_ptr<const sql::Statement> stmt);
+    void Clear();
+
     bool enabled = true;
-    std::unordered_map<std::string, std::shared_ptr<const sql::Statement>>
-        parsed;
+    /// Most recently used first. List nodes never move, so `index` keys
+    /// are views into them.
+    std::list<Entry> lru;
+    std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
   };
 
   Catalog catalog_;

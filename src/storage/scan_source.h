@@ -26,7 +26,7 @@ class Table;
 /// Invariants every implementation maintains:
 ///  - `ShardOf` is a pure function of the tuple (hash of the key column),
 ///    so identical tuples always land in the same shard. Per-shard set
-///    operations (LFP's DiffInto) are therefore exact when two sources
+///    operations (LFP's MergeNew) are therefore exact when two sources
 ///    share a shard count.
 ///  - All shards share one schema and identical index definitions
 ///    (AddIndexSpec applies to every shard).

@@ -21,7 +21,7 @@ namespace dkb {
 /// source reproduces the layout (snapshot load, COW clones); (b) two
 /// sources with equal shard counts and key column are *aligned* — identical
 /// tuples occupy the same shard index in both, which is what makes
-/// per-shard set difference (EvalContext::DiffInto) exact.
+/// per-shard set difference (EvalContext::MergeNew) exact.
 class ShardedTable : public ScanSource {
  public:
   /// `shard_count` must be ≥ 1; `key_column` is the partitioning column

@@ -572,8 +572,10 @@ void Testbed::ClearWorkspace() {
     EpochBump bump([this]() { BumpEpoch(); });
     auto logged = LogWal(WalRecordKind::kClearWorkspace, {});
     if (logged.ok()) lsn = *logged;
+    // Only programs that used a workspace rule can change; programs over
+    // stored rules alone stay cached.
+    cache_.InvalidateOn(workspace_.HeadPredicates());
     workspace_.Clear();
-    cache_.Clear();
   }
   (void)WaitWal(lsn);
 }

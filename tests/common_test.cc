@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str_util.h"
+#include "common/timer.h"
 #include "common/value.h"
 
 namespace dkb {
@@ -121,6 +122,25 @@ TEST(ValueTest, HashConsistentWithEquality) {
 // ---------------------------------------------------------------------------
 // String utilities
 // ---------------------------------------------------------------------------
+
+TEST(TimerTest, SubMicrosecondScopesAddUp) {
+  // Each scope is far shorter than a microsecond; truncating every scope to
+  // whole microseconds would sum them to zero.
+  int64_t nanos = 0;
+  for (int i = 0; i < 10000; ++i) {
+    ScopedAccumulator acc(&nanos);
+  }
+  EXPECT_GT(nanos, 0);
+  EXPECT_GT(NanosToMicros(nanos), 0);
+}
+
+TEST(TimerTest, NanosRoundToNearestMicro) {
+  EXPECT_EQ(NanosToMicros(0), 0);
+  EXPECT_EQ(NanosToMicros(499), 0);
+  EXPECT_EQ(NanosToMicros(500), 1);
+  EXPECT_EQ(NanosToMicros(1499), 1);
+  EXPECT_EQ(NanosToMicros(2500), 3);
+}
 
 TEST(StrUtilTest, Split) {
   EXPECT_EQ(StrSplit("a,b,c", ','),

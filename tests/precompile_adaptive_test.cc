@@ -117,6 +117,38 @@ TEST_F(PrecompileTest, ClearWorkspaceClearsCache) {
   EXPECT_EQ(tb_->query_cache().size(), 0u);
 }
 
+TEST_F(PrecompileTest, ClearWorkspaceKeepsStoredOnlyPrograms) {
+  // Commit ancestor to the Stored DKB, together with a stored rule for
+  // reach; the workspace then holds only a rule that widens reach.
+  ASSERT_TRUE(tb_->Consult("reach(X, Y) :- parent(X, Y).\n"
+                           "friend(a, z).\n")
+                  .ok());
+  ASSERT_TRUE(tb_->UpdateStoredDkb().ok());
+  tb_->ClearWorkspace();
+  ASSERT_TRUE(tb_->AddRule("reach(X, Y) :- friend(X, Y).").ok());
+
+  QueryOptions opts = QueryOptions::SemiNaive().WithCache();
+  ASSERT_TRUE(tb_->Query("?- ancestor(a, W).", opts).ok());
+  auto widened = tb_->Query("?- reach(a, W).", opts);
+  ASSERT_TRUE(widened.ok()) << widened.status().ToString();
+  EXPECT_EQ(AnswerSet(widened->result),
+            (std::set<std::string>{"b|", "z|"}));
+  ASSERT_EQ(tb_->query_cache().size(), 2u);
+
+  tb_->ClearWorkspace();
+  // The program over stored rules only survives, as a cache hit.
+  auto stored_only = tb_->Query("?- ancestor(a, W).", opts);
+  ASSERT_TRUE(stored_only.ok()) << stored_only.status().ToString();
+  EXPECT_TRUE(stored_only->report.from_cache);
+  EXPECT_EQ(AnswerSet(stored_only->result),
+            (std::set<std::string>{"b|", "c|", "d|"}));
+  // The program that used the workspace rule recompiles without it.
+  auto narrowed = tb_->Query("?- reach(a, W).", opts);
+  ASSERT_TRUE(narrowed.ok()) << narrowed.status().ToString();
+  EXPECT_FALSE(narrowed->report.from_cache);
+  EXPECT_EQ(AnswerSet(narrowed->result), (std::set<std::string>{"b|"}));
+}
+
 TEST_F(PrecompileTest, FactsDoNotInvalidate) {
   QueryOptions opts = QueryOptions::SemiNaive().WithCache();
   ASSERT_TRUE(tb_->Query("?- ancestor(a, W).", opts).ok());

@@ -323,6 +323,32 @@ TEST_F(RdbmsTest, StatementCacheReusesParsedText) {
   EXPECT_EQ(r.schema.num_columns(), 2u);
 }
 
+TEST_F(RdbmsTest, StatementCacheEvictsLeastRecentlyUsed) {
+  Exec("CREATE TABLE t (x INT)");
+  auto prepared = db_.Prepare("SELECT x FROM t WHERE x = ?");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  Query("SELECT COUNT(*) FROM t");  // the hot text, now cached
+  db_.stats().Reset();
+  // 5,000 one-shot texts overflow the cache; the hot text, used between
+  // each of them, must never be the one evicted.
+  int64_t last_hits = 0;
+  for (int i = 0; i < 5000; ++i) {
+    Exec("INSERT INTO t VALUES (" + std::to_string(i) + ")");
+    Query("SELECT COUNT(*) FROM t");
+    const int64_t hits = db_.stats().statement_cache_hits.load();
+    ASSERT_GT(hits, last_hits) << "hot text evicted after " << i
+                               << " one-shot texts";
+    last_hits = hits;
+  }
+  // The prepared text went cold and was evicted long ago; the handle
+  // shares the parsed statement and stays valid.
+  ASSERT_TRUE(prepared->Bind(0, Value(int64_t{7})).ok());
+  auto result = prepared->Execute();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows[0][0].as_int(), 7);
+}
+
 TEST_F(RdbmsTest, StatementCacheCanBeDisabled) {
   db_.set_statement_cache_enabled(false);
   Exec("CREATE TABLE t (x INT)");

@@ -203,6 +203,57 @@ TEST(QueryTraceTest, CollectTraceBuildsQueryTree) {
   EXPECT_TRUE(found_deltas);
 }
 
+/// Child span names of every "iteration" span under `node_name`.
+std::vector<std::vector<std::string>> IterationChildren(
+    const testbed::QueryReport& r, const std::string& node_name) {
+  std::vector<std::vector<std::string>> out;
+  if (r.trace == nullptr) return out;
+  for (const auto& phase : r.trace->root()->children()) {
+    if (phase->name() != "execute") continue;
+    for (const auto& node : phase->children()) {
+      if (node->name() != node_name) continue;
+      for (const auto& iter : node->children()) {
+        std::vector<std::string>& names = out.emplace_back();
+        for (const auto& child : iter->children()) {
+          names.push_back(child->name());
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(QueryTraceTest, SemiNaiveIterationsSplitIntoRhsAndDiff) {
+  auto tb_or = MakeMultiClique(1, 6);
+  ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
+  auto tb = std::move(tb_or).value();
+  auto linear = tb->Query("anc0(X, Y)", QueryOptions::SemiNaive().WithTrace());
+  ASSERT_TRUE(linear.ok()) << linear.status().ToString();
+  // A linear clique never reads prev, so no iteration does prev work: each
+  // one is the rule-body evaluation and the termination merge, nothing else.
+  const auto linear_iters = IterationChildren(linear->report, "node:anc0");
+  ASSERT_EQ(static_cast<int64_t>(linear_iters.size()),
+            linear->report.exec.iterations);
+  for (const auto& names : linear_iters) {
+    EXPECT_EQ(names, (std::vector<std::string>{"rhs", "diff"}))
+        << linear->report.trace->RenderText();
+  }
+
+  // A nonlinear rule reads prev: every iteration appends the delta its
+  // variants consumed to prev, between the two.
+  ASSERT_TRUE(tb->Consult("tc(X, Y) :- par0(X, Y).\n"
+                          "tc(X, Y) :- tc(X, Z), tc(Z, Y).\n")
+                  .ok());
+  auto nonlinear =
+      tb->Query("tc(X, Y)", QueryOptions::SemiNaive().WithTrace());
+  ASSERT_TRUE(nonlinear.ok()) << nonlinear.status().ToString();
+  const auto tc_iters = IterationChildren(nonlinear->report, "node:tc");
+  ASSERT_GE(tc_iters.size(), 2u) << nonlinear->report.trace->RenderText();
+  for (const auto& names : tc_iters) {
+    EXPECT_EQ(names, (std::vector<std::string>{"rhs", "prev", "diff"}));
+  }
+}
+
 TEST(QueryTraceTest, ParallelLfpTraceIsDeterministicProgramOrder) {
   auto tb_or = MakeMultiClique(4, 8);
   ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
